@@ -14,9 +14,9 @@ namespace {
 // Why each workload exists is recorded in README.md next to this file.
 constexpr WorkloadDef kWorkloads[] = {
     {"cold_miss", 900, 22000, 140, 2, 1, KeyMix::kFresh,
-     TickKind::kRedelivered, 0.15},
-    {"hot_repeat", 900, 22000, 140, 1, 8, KeyMix::kZipf,
-     TickKind::kRedelivered, 0.15},
+     TickKind::kRedelivered, 0.05},
+    {"hot_repeat", 900, 22000, 140, 1, 64, KeyMix::kZipf,
+     TickKind::kRedelivered, 0.05},
     {"live_ingest", 300, 6000, 64, 2, 1, KeyMix::kFresh,
      TickKind::kNewEdges, 0.25},
 };

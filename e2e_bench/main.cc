@@ -40,7 +40,7 @@ namespace tkc::e2e {
 namespace {
 
 /// Set-ups per run; setup_s is their median.
-constexpr int kSetupReps = 5;
+constexpr int kSetupReps = 3;
 /// Threads of the benchmark's own parallel work (inputs, references,
 /// replayed index builds): the machine's four cores, idle while timing.
 constexpr int kAuxThreads = 4;
@@ -98,17 +98,65 @@ struct Metric {
   std::string unit;
 };
 
+double Beyond(uint64_t samples, double p) {
+  return std::floor(static_cast<double>(samples) * (1 - p));
+}
+
 /// Prints a metric for humans; a percentile also gets its sample count and
-/// how many samples lie beyond it.
-void Show(const Metric& m, size_t samples = 0, double p = 0) {
+/// how many samples lie beyond it, or `note` instead of the latter.
+void Show(const Metric& m, size_t samples = 0, double p = 0,
+          const std::string& note = "") {
   std::printf("  %-40s %16.6f %-8s", m.name.c_str(), m.value, m.unit.c_str());
-  if (samples > 0 && p > 0) {
-    std::printf(" (n=%zu, %.0f beyond)", samples,
-                std::floor(static_cast<double>(samples) * (1 - p)));
+  if (samples > 0 && !note.empty()) {
+    std::printf(" (n=%zu, %s)", samples, note.c_str());
+  } else if (samples > 0 && p > 0) {
+    std::printf(" (n=%zu, %.0f beyond)", samples, Beyond(samples, p));
   } else if (samples > 0) {
     std::printf(" (n=%zu)", samples);
   }
   std::printf("\n");
+}
+
+/// A percentile of a timed phase, taken per window where the samples allow.
+struct Windowed {
+  double ms = 0;
+  uint64_t samples = 0;
+  std::string note;  ///< how it was taken, for Show
+};
+
+/// The p-quantile of a timed phase split into `windows`. A tail percentile
+/// (p > 0.5) is the median of the windows' p-quantiles when every window
+/// holds at least ten samples beyond p: a burst of interference can move
+/// the tail of the whole phase, but only a window or two. A median, or a
+/// tail with too few samples per window, is taken over all samples
+/// together: a burst moves a median only by the share of samples it
+/// touches, and a window's median is a noisier estimate than the phase's.
+Windowed WindowedQuantileMs(const std::vector<LatencyHistogram>& windows,
+                            double p) {
+  Windowed out;
+  LatencyHistogram all;
+  uint64_t fewest_beyond = ~uint64_t{0};
+  std::vector<double> per_window;
+  for (const LatencyHistogram& w : windows) {
+    all.Merge(w);
+    fewest_beyond = std::min<uint64_t>(
+        fewest_beyond, static_cast<uint64_t>(Beyond(w.count(), p)));
+    per_window.push_back(w.QuantileMs(p));
+  }
+  out.samples = all.count();
+  char note[96];
+  if (p > 0.5 && windows.size() > 1 && fewest_beyond >= 10) {
+    out.ms = Quantile(per_window, 0.50);
+    std::snprintf(note, sizeof(note), "median of %zu windows, >= %llu beyond "
+                  "in each", windows.size(),
+                  static_cast<unsigned long long>(fewest_beyond));
+  } else {
+    out.ms = all.QuantileMs(p);
+    std::snprintf(note, sizeof(note), "%.0f beyond, whole phase",
+                  Beyond(all.count(), p));
+  }
+  out.note = note;
+  return out;
 }
 
 void PrintResult(bool correct, uint64_t attempted, uint64_t failed,
@@ -182,18 +230,24 @@ struct Phase {
   /// serve counters then.
   uint64_t baseline_version = 0;
   ServeStats baseline;
-  /// Every snapshot published while timing (traced wire phase only).
-  std::map<uint64_t, std::shared_ptr<const GraphSnapshot>> pinned;
+  /// The snapshot serving when timing started, version 0 (traced only).
+  std::shared_ptr<const GraphSnapshot> initial;
+  /// When timing started.
+  Clock::time_point start;
+  /// The serve counters of every snapshot published while timing (traced
+  /// wire phase only).
+  std::map<uint64_t, VersionStats> versions;
   LiveStats live_stats;
 };
 
 /// Runs `def`'s traffic against `sys`: over the wire for `seconds` when
-/// `replay` is null, else in-process SubmitAsync replaying `replay`'s
-/// batches until they run out. Keeps every request when tracing, else a
-/// sample for the correctness check.
+/// `replay` is null, else in-process SubmitAsync replaying the same query
+/// stream, each connection sending as many requests as it did in
+/// `replay`. Keeps every verdict when tracing, else a sample for the
+/// correctness check (see RunClosedLoop).
 StatusOr<Phase> RunPhase(const WorkloadDef& def, const Inputs& in,
                          System* sys, const Args& args,
-                         const std::vector<Request>* replay) {
+                         const LoopResult* replay) {
   Phase phase;
   const bool wire = replay == nullptr;
   std::vector<std::unique_ptr<Transport>> transports;
@@ -224,25 +278,28 @@ StatusOr<Phase> RunPhase(const WorkloadDef& def, const Inputs& in,
     pinner = std::make_unique<SnapshotPinner>(sys->live.get());
   }
   {
-    const std::shared_ptr<const GraphSnapshot> current = sys->live->snapshot();
+    std::shared_ptr<const GraphSnapshot> current = sys->live->snapshot();
     phase.baseline_version = current->version();
     phase.baseline = current->engine().stats();
+    // The layer replays start from it; an untraced run lets it go, so it
+    // does not count in peak RSS.
+    if (args.trace) phase.initial = std::move(current);
   }
   const net::ServerStats net_before = sys->server->stats();
 
   std::unique_ptr<QuerySource> source;
-  if (!wire) {
-    source = ReplaySource(replay, def.connections);
-  } else if (def.keys == KeyMix::kZipf) {
+  if (def.keys == KeyMix::kZipf) {
     source = ZipfSource(&in.hot, def.batch_size, args.seed, def.connections);
   } else {
     source = FreshSource(&in.fresh, def.batch_size);
   }
 
   const Clock::time_point start = Clock::now();
+  phase.start = start;
   TickRunner ticks(sys->live.get(), &in.ticks, start, def.tick_period_s);
   phase.loop = RunClosedLoop(
       transports, source.get(), start, wire ? args.seconds : 0,
+      wire ? std::vector<uint64_t>{} : replay->requests_per_conn,
       wire ? "net.request" : "serve.request",
       args.trace ? 0 : kCheckSample / def.connections + 1, args.seed);
   phase.peak_rss_bytes = ReadVmHWMBytes();
@@ -251,7 +308,7 @@ StatusOr<Phase> RunPhase(const WorkloadDef& def, const Inputs& in,
                     (net_before.bytes_read + net_before.bytes_written);
   phase.ticks = ticks.Join();
 
-  if (pinner != nullptr) phase.pinned = pinner->Stop();
+  if (pinner != nullptr) phase.versions = pinner->Stop();
   phase.live_stats = sys->live->stats();
 
   if (wire) {
@@ -274,26 +331,43 @@ StatusOr<Phase> RunPhase(const WorkloadDef& def, const Inputs& in,
 
 // --- metrics ----------------------------------------------------------------
 
-std::vector<double> VisibleMs(const std::vector<TickRecord>& ticks) {
-  std::vector<double> ms;
-  for (const TickRecord& t : ticks) ms.push_back((t.settled_s - t.due_s) * 1e3);
-  return ms;
-}
-
-/// The end-to-end metrics of one phase, shown as they are computed.
-std::vector<Metric> EndToEnd(const Phase& phase,
+/// The end-to-end metrics of a wire phase timed for `seconds`, shown as
+/// they are computed. `qps` is the median of the windows' rates; for the
+/// percentiles see WindowedQuantileMs.
+std::vector<Metric> EndToEnd(const Phase& phase, double seconds,
                              const std::vector<double>& setup_s) {
   const LoopResult& loop = phase.loop;
-  const std::vector<double> visible = VisibleMs(phase.ticks);
+  const size_t num_windows = loop.windows.size();
+  const double window_s = seconds / static_cast<double>(num_windows);
+  std::vector<double> window_qps;
+  std::vector<LatencyHistogram> latency, visible(num_windows);
+  for (size_t w = 0; w < num_windows; ++w) {
+    // The last window runs on to the last answer.
+    const double length = w + 1 < num_windows
+                              ? window_s
+                              : loop.wall_s - window_s * static_cast<double>(w);
+    window_qps.push_back(
+        Ratio(static_cast<double>(loop.windows[w].ok), length));
+    latency.push_back(loop.windows[w].latency);
+  }
+  for (const TickRecord& t : phase.ticks) {
+    const size_t w = std::min(num_windows - 1,
+                              static_cast<size_t>(t.due_s / window_s));
+    visible[w].Record(t.settled_s - t.due_s);
+  }
+  const Windowed p50 = WindowedQuantileMs(latency, 0.50);
+  const Windowed p99 = WindowedQuantileMs(latency, 0.99);
+  const Windowed visible_p50 = WindowedQuantileMs(visible, 0.50);
+  const Windowed visible_p80 = WindowedQuantileMs(visible, 0.80);
   std::vector<Metric> m = {
-      {"qps", Ratio(static_cast<double>(loop.ok), loop.wall_s), "queries/s"},
-      {"latency_p50_ms", loop.latency.QuantileMs(0.50), "ms"},
-      {"latency_p99_ms", loop.latency.QuantileMs(0.99), "ms"},
+      {"qps", Quantile(window_qps, 0.50), "queries/s"},
+      {"latency_p50_ms", p50.ms, "ms"},
+      {"latency_p99_ms", p99.ms, "ms"},
       {"ok_ratio",
        Ratio(static_cast<double>(loop.ok), static_cast<double>(loop.queries)),
        "share"},
-      {"update_visible_p50_ms", Quantile(visible, 0.50), "ms"},
-      {"update_visible_p80_ms", Quantile(visible, 0.80), "ms"},
+      {"update_visible_p50_ms", visible_p50.ms, "ms"},
+      {"update_visible_p80_ms", visible_p80.ms, "ms"},
       {"setup_s", Quantile(setup_s, 0.50), "s"},
       {"peak_rss_mb", static_cast<double>(phase.peak_rss_bytes) / (1 << 20),
        "MB"},
@@ -303,22 +377,28 @@ std::vector<Metric> EndToEnd(const Phase& phase,
               static_cast<unsigned long long>(loop.queries),
               static_cast<unsigned long long>(loop.requests), loop.wall_s,
               static_cast<unsigned long long>(loop.failed));
-  Show(m[0], loop.ok);
-  Show(m[1], loop.latency.count(), 0.50);
-  Show(m[2], loop.latency.count(), 0.99);
+  Show(m[0], loop.ok, 0,
+       "median of " + std::to_string(num_windows) + " windows");
+  Show(m[1], p50.samples, 0.50, p50.note);
+  Show(m[2], p99.samples, 0.99, p99.note);
   Show(m[3], loop.queries);
-  Show(m[4], visible.size(), 0.50);
-  Show(m[5], visible.size(), 0.80);
+  Show(m[4], visible_p50.samples, 0.50, visible_p50.note);
+  Show(m[5], visible_p80.samples, 0.80, visible_p80.note);
   Show(m[6], setup_s.size(), 0.50);
   Show(m[7]);
   return m;
 }
 
-bool ReportCheck(const char* what, const CheckReport& report) {
+/// `folded`: verdicts not checked themselves because they repeat a checked
+/// answer for the same snapshot version and query (see RunClosedLoop).
+bool ReportCheck(const char* what, const CheckReport& report,
+                 uint64_t folded) {
   std::printf(
-      "check %s: %llu verdicts against %llu references, %llu mismatches, "
-      "%llu missing; oracle %llu checked, %llu mismatches\n",
+      "check %s: %llu verdicts (and %llu repeats of them) against %llu "
+      "references, %llu mismatches, %llu missing; oracle %llu checked, %llu "
+      "mismatches\n",
       what, static_cast<unsigned long long>(report.verdicts_checked),
+      static_cast<unsigned long long>(folded),
       static_cast<unsigned long long>(report.references_run),
       static_cast<unsigned long long>(report.mismatches),
       static_cast<unsigned long long>(report.missing),
@@ -344,12 +424,14 @@ StatusOr<std::vector<Metric>> PerLayer(const Inputs& in, const System& sys,
   };
   std::printf("per-layer:\n");
 
-  // net
-  std::vector<double> engine_ms, queue_wait_ms;
+  // net. Queue wait and busy time come from the kept requests, which are
+  // whole wherever every query executes (no answer repeats); elsewhere
+  // they are not measurable (see below).
+  const LatencyHistogram& engine_latency = engine.loop.latency;
+  std::vector<double> queue_wait_ms;
   double busy_s = 0;
   for (const Request& r : engine.loop.kept) {
     const double ms = (r.done_s - r.send_s) * 1e3;
-    engine_ms.push_back(ms);
     double slowest = 0;
     for (const Verdict& v : r.verdicts) {
       slowest = std::max(slowest, v.seconds);
@@ -358,7 +440,8 @@ StatusOr<std::vector<Metric>> PerLayer(const Inputs& in, const System& sys,
     queue_wait_ms.push_back(ms - slowest * 1e3);
   }
   add("net.overhead_p50_ms",
-      wire.loop.latency.QuantileMs(0.5) - Quantile(engine_ms, 0.5), "ms");
+      wire.loop.latency.QuantileMs(0.5) - engine_latency.QuantileMs(0.5),
+      "ms");
   add("net.codec_us_per_query", CodecMicrosPerQuery(wire.loop.kept), "us");
   add("net.bytes_per_query",
       Ratio(static_cast<double>(wire.net_bytes),
@@ -368,8 +451,8 @@ StatusOr<std::vector<Metric>> PerLayer(const Inputs& in, const System& sys,
 
   // serve: counters summed over every version the wire phase published.
   ServeStats sum;
-  for (const auto& [version, snap] : wire.pinned) {
-    ServeStats s = snap->engine().stats();
+  for (const auto& [version, read] : wire.versions) {
+    ServeStats s = read.stats;
     if (version == wire.baseline_version) {
       s.queries_served -= wire.baseline.queries_served;
       s.cache_hits -= wire.baseline.cache_hits;
@@ -385,23 +468,29 @@ StatusOr<std::vector<Metric>> PerLayer(const Inputs& in, const System& sys,
     sum.batches_shed += s.batches_shed;
     sum.deadlines_expired += s.deadlines_expired;
   }
+  // A version is unpinned when the pinner missed it, or read its counters
+  // before a request it answered was done.
   std::set<uint64_t> unpinned;
   for (const Request& r : wire.loop.kept) {
-    if (r.answered && wire.pinned.count(r.snapshot_version) == 0) {
+    if (!r.answered) continue;
+    const auto it = wire.versions.find(r.snapshot_version);
+    if (it == wire.versions.end() ||
+        std::chrono::duration<double>(it->second.read_at - wire.start)
+                .count() < r.done_s) {
       unpinned.insert(r.snapshot_version);
     }
   }
   if (!unpinned.empty()) {
-    std::printf("  note: %zu answering versions were never pinned; serve "
-                "ratios cover the pinned versions only\n",
+    std::printf("  note: %zu answering versions were missed or read early; "
+                "serve ratios may miss some of their queries\n",
                 unpinned.size());
   }
   const double served = static_cast<double>(sum.queries_served);
   const int pool_threads = ThreadPool::Shared().num_threads();
-  add("serve.engine_p50_ms", Quantile(engine_ms, 0.50), "ms",
-      engine_ms.size(), 0.50);
-  add("serve.engine_p99_ms", Quantile(engine_ms, 0.99), "ms",
-      engine_ms.size(), 0.99);
+  add("serve.engine_p50_ms", engine_latency.QuantileMs(0.50), "ms",
+      engine_latency.count(), 0.50);
+  add("serve.engine_p99_ms", engine_latency.QuantileMs(0.99), "ms",
+      engine_latency.count(), 0.99);
   // A cache hit replays the stored outcome of the run that produced it,
   // seconds included, so outcome times describe work done only when every
   // query executed; otherwise these two read 0 ("not measurable").
@@ -475,14 +564,14 @@ StatusOr<std::vector<Metric>> PerLayer(const Inputs& in, const System& sys,
     if (!index.ok()) return index.status();
   }
   add("vct.index_build_s", build_timer.ElapsedSeconds(), "s");
-  const PhcIndex* index = wire.pinned.at(0)->engine().index();
+  const PhcIndex* index = wire.initial->engine().index();
   add("vct.index_bytes",
       index != nullptr ? static_cast<double>(index->MemoryUsageBytes()) : 0,
       "bytes");
 
   QueryEngineOptions snapshot_options = ServingOptions().engine;
   snapshot_options.index_build_pool = aux;
-  auto ticks = ReplayTicks(wire.pinned.at(0), in.ticks, snapshot_options, aux);
+  auto ticks = ReplayTicks(wire.initial, in.ticks, snapshot_options, aux);
   if (!ticks.ok()) return ticks.status();
   std::vector<double> append_ms, rebuild_ms, successor_ms, wait_ms;
   double rows_reused = 0, rows_total = 0;
@@ -584,11 +673,12 @@ int Run(const Args& args) {
     std::printf("note: the run wrapped around its %zu fresh keys\n",
                 in.fresh.size());
   }
-  const std::vector<Metric> e2e = EndToEnd(*wire, setup_s);
+  const std::vector<Metric> e2e = EndToEnd(*wire, args.seconds, setup_s);
 
   Reference reference(sys->graph, in.ticks);
   bool correct = ReportCheck(
-      "wire", reference.Check(loop.kept, args.trace, args.seed, &aux));
+      "wire", reference.Check(loop.kept, args.trace, args.seed, &aux),
+      loop.folded);
   correct = correct && loop.missing == 0;
   for (const TickRecord& t : wire->ticks) correct = correct && t.ok;
 
@@ -597,15 +687,15 @@ int Run(const Args& args) {
     return correct ? 0 : 1;
   }
 
-  // Traced: the same batches in-process on a fresh system, for the engine's
-  // own latency; then the layer replays.
+  // Traced: the same query stream in-process on a fresh system, for the
+  // engine's own latency; then the layer replays.
   auto engine_sys = SetUp(*def);
   if (!engine_sys.ok()) {
     std::fprintf(stderr, "setup: %s\n",
                  engine_sys.status().ToString().c_str());
     return 1;
   }
-  auto engine = RunPhase(*def, in, engine_sys->get(), args, &loop.kept);
+  auto engine = RunPhase(*def, in, engine_sys->get(), args, &loop);
   if (!engine.ok()) {
     std::fprintf(stderr, "engine phase: %s\n",
                  engine.status().ToString().c_str());
@@ -613,7 +703,8 @@ int Run(const Args& args) {
   }
   correct = ReportCheck("in-process",
                         reference.Check(engine->loop.kept, true, args.seed,
-                                        &aux)) &&
+                                        &aux),
+                        engine->loop.folded) &&
             correct && engine->loop.missing == 0;
   for (const TickRecord& t : engine->ticks) correct = correct && t.ok;
   engine_sys->reset();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <unordered_map>
 #include <utility>
 
 #include "inputs.h"
@@ -143,25 +144,6 @@ class ZipfSourceImpl : public QuerySource {
   std::vector<Rng> rngs_;  // one per connection: no sharing across threads
 };
 
-class ReplaySourceImpl : public QuerySource {
- public:
-  ReplaySourceImpl(const std::vector<Request>* recorded, int connections)
-      : batches_(static_cast<size_t>(connections)),
-        cursor_(static_cast<size_t>(connections), 0) {
-    for (const Request& r : *recorded) batches_[r.conn].push_back(&r.queries);
-  }
-
-  bool Next(uint32_t conn, std::vector<Query>* batch) override {
-    if (cursor_[conn] >= batches_[conn].size()) return false;
-    *batch = *batches_[conn][cursor_[conn]++];
-    return true;
-  }
-
- private:
-  std::vector<std::vector<const std::vector<Query>*>> batches_;
-  std::vector<size_t> cursor_;  // slot c touched only by connection c
-};
-
 }  // namespace
 
 std::unique_ptr<Transport> WireTransport(
@@ -183,11 +165,6 @@ std::unique_ptr<QuerySource> ZipfSource(const std::vector<Query>* keys,
                                         int connections) {
   return std::make_unique<ZipfSourceImpl>(keys, batch_size, seed,
                                           connections);
-}
-
-std::unique_ptr<QuerySource> ReplaySource(
-    const std::vector<Request>* recorded, int connections) {
-  return std::make_unique<ReplaySourceImpl>(recorded, connections);
 }
 
 namespace {
@@ -250,19 +227,85 @@ double LatencyHistogram::QuantileMs(double p) const {
   return 0;
 }
 
+namespace {
+
+/// A verdict's (snapshot version, query), for folding repeated answers.
+struct AnswerKey {
+  uint64_t version;
+  Query query;
+  bool operator==(const AnswerKey& o) const {
+    return version == o.version && query.k == o.query.k &&
+           query.range.start == o.query.range.start &&
+           query.range.end == o.query.range.end;
+  }
+};
+
+struct AnswerKeyHash {
+  size_t operator()(const AnswerKey& key) const {
+    uint64_t h = key.version * 0x9e3779b97f4a7c15ULL;
+    for (uint64_t part : {uint64_t{key.query.k},
+                          uint64_t{key.query.range.start},
+                          uint64_t{key.query.range.end}}) {
+      h = (h ^ part) * 0xff51afd7ed558ccdULL;
+    }
+    return static_cast<size_t>(h ^ (h >> 32));
+  }
+};
+
+bool SameAnswer(const Verdict& a, const Verdict& b) {
+  return a.status == b.status && a.num_cores == b.num_cores &&
+         a.result_size_edges == b.result_size_edges &&
+         a.vct_size == b.vct_size && a.ecs_size == b.ecs_size;
+}
+
+/// The first answer a connection got for each (snapshot version, query).
+using SeenAnswers = std::unordered_map<AnswerKey, Verdict, AnswerKeyHash>;
+
+/// Drops from answered `r` the verdicts that repeat an answer in `seen`,
+/// and records the new ones; returns how many it dropped.
+uint64_t FoldRepeats(SeenAnswers* seen, Request* r) {
+  if (!r->answered) return 0;
+  size_t kept = 0;
+  for (size_t i = 0; i < r->queries.size(); ++i) {
+    const auto [it, inserted] = seen->try_emplace(
+        AnswerKey{r->snapshot_version, r->queries[i]}, r->verdicts[i]);
+    if (inserted || !SameAnswer(it->second, r->verdicts[i])) {
+      r->queries[kept] = r->queries[i];
+      r->verdicts[kept] = r->verdicts[i];
+      ++kept;
+    }
+  }
+  const uint64_t dropped = r->queries.size() - kept;
+  if (dropped > 0) {
+    r->queries.resize(kept);
+    r->verdicts.resize(kept);
+    r->queries.shrink_to_fit();
+    r->verdicts.shrink_to_fit();
+  }
+  return dropped;
+}
+
+}  // namespace
+
 LoopResult RunClosedLoop(
     const std::vector<std::unique_ptr<Transport>>& transports,
     QuerySource* source, Clock::time_point start, double stop_after_s,
-    const char* root_span, size_t keep_per_conn, uint64_t seed) {
+    const std::vector<uint64_t>& max_requests, const char* root_span,
+    size_t keep_per_conn, uint64_t seed) {
+  const size_t num_windows = stop_after_s > 0 ? kWindows : 1;
+  const double window_s = stop_after_s / static_cast<double>(num_windows);
   std::vector<LoopResult> per_conn(transports.size());
   std::vector<std::thread> threads;
   for (size_t c = 0; c < transports.size(); ++c) {
     threads.emplace_back([&, c] {
       const auto conn = static_cast<uint32_t>(c);
       LoopResult& out = per_conn[c];
+      out.windows.resize(num_windows);
       Rng reservoir(seed * 0x9e3779b97f4a7c15ULL + c + 1);
+      SeenAnswers seen;
       for (uint64_t seq = 1;; ++seq) {
         if (stop_after_s > 0 && SecondsSince(start) >= stop_after_s) break;
+        if (stop_after_s <= 0 && out.requests >= max_requests[c]) break;
         Request r;
         r.conn = conn;
         if (!source->Next(conn, &r.queries)) break;
@@ -276,10 +319,15 @@ LoopResult RunClosedLoop(
         out.queries += r.queries.size();
         out.wall_s = std::max(out.wall_s, r.done_s);
         if (r.answered) {
+          WindowStats& window = out.windows[std::min(
+              num_windows - 1,
+              num_windows == 1 ? 0 : static_cast<size_t>(r.done_s / window_s))];
           out.latency.Record(r.done_s - r.send_s);
+          window.latency.Record(r.done_s - r.send_s);
           for (const Verdict& v : r.verdicts) {
             if (net::StatusCodeFromWire(v.status) == StatusCode::kOk) {
               ++out.ok;
+              ++window.ok;
             } else {
               ++out.failed;
             }
@@ -288,7 +336,10 @@ LoopResult RunClosedLoop(
           out.failed += r.queries.size();
           out.missing += r.queries.size();
         }
-        if (keep_per_conn == 0 || out.kept.size() < keep_per_conn) {
+        if (keep_per_conn == 0) {
+          out.folded += FoldRepeats(&seen, &r);
+          if (!r.queries.empty()) out.kept.push_back(std::move(r));
+        } else if (out.kept.size() < keep_per_conn) {
           out.kept.push_back(std::move(r));
         } else {
           const uint64_t slot = reservoir.NextBounded(out.requests);
@@ -299,12 +350,19 @@ LoopResult RunClosedLoop(
   }
   for (std::thread& t : threads) t.join();
   LoopResult all;
+  all.windows.resize(num_windows);
   for (LoopResult& one : per_conn) {
+    for (size_t w = 0; w < num_windows; ++w) {
+      all.windows[w].ok += one.windows[w].ok;
+      all.windows[w].latency.Merge(one.windows[w].latency);
+    }
     all.requests += one.requests;
     all.queries += one.queries;
     all.ok += one.ok;
     all.failed += one.failed;
     all.missing += one.missing;
+    all.folded += one.folded;
+    all.requests_per_conn.push_back(one.requests);
     all.wall_s = std::max(all.wall_s, one.wall_s);
     all.latency.Merge(one.latency);
     std::sort(one.kept.begin(), one.kept.end(),
@@ -382,13 +440,7 @@ std::vector<TickRecord> TickRunner::Join() {
 }
 
 SnapshotPinner::SnapshotPinner(LiveQueryEngine* live) : live_(live) {
-  poller_ = std::thread([this] {
-    while (!stop_.load(std::memory_order_relaxed)) {
-      std::shared_ptr<const GraphSnapshot> s = live_->snapshot();
-      pinned_.emplace(s->version(), std::move(s));
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-    }
-  });
+  poller_ = std::thread([this] { Poll(); });
 }
 
 SnapshotPinner::~SnapshotPinner() {
@@ -396,13 +448,45 @@ SnapshotPinner::~SnapshotPinner() {
   if (poller_.joinable()) poller_.join();
 }
 
-std::map<uint64_t, std::shared_ptr<const GraphSnapshot>>
-SnapshotPinner::Stop() {
+void SnapshotPinner::Poll() {
+  struct Held {
+    std::shared_ptr<const GraphSnapshot> snapshot;
+    Clock::time_point replaced_at;  ///< epoch while still current
+  };
+  std::map<uint64_t, Held> held;
+  auto read = [&](uint64_t version, const Held& h) {
+    read_[version] = VersionStats{h.snapshot->engine().stats(), Clock::now()};
+  };
+  const auto grace = std::chrono::duration_cast<Clock::duration>(
+      std::chrono::duration<double>(kRetireGraceS));
+  for (bool last = false; !last;) {
+    last = stop_.load(std::memory_order_relaxed);
+    std::shared_ptr<const GraphSnapshot> s = live_->snapshot();
+    const Clock::time_point now = Clock::now();
+    if (held.count(s->version()) == 0) {
+      for (auto& [version, h] : held) {
+        if (h.replaced_at == Clock::time_point{}) h.replaced_at = now;
+      }
+      const uint64_t version = s->version();
+      held.emplace(version, Held{std::move(s), Clock::time_point{}});
+    }
+    for (auto it = held.begin(); it != held.end();) {
+      if (last || (it->second.replaced_at != Clock::time_point{} &&
+                   now - it->second.replaced_at > grace)) {
+        read(it->first, it->second);
+        it = held.erase(it);
+      } else {
+        ++it;
+      }
+    }
+    if (!last) std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+}
+
+std::map<uint64_t, VersionStats> SnapshotPinner::Stop() {
   stop_.store(true);
   if (poller_.joinable()) poller_.join();
-  std::shared_ptr<const GraphSnapshot> s = live_->snapshot();
-  pinned_.emplace(s->version(), std::move(s));
-  return pinned_;
+  return read_;
 }
 
 }  // namespace tkc::e2e

@@ -85,10 +85,6 @@ std::unique_ptr<QuerySource> ZipfSource(const std::vector<Query>* keys,
                                         int batch_size, uint64_t seed,
                                         int connections);
 
-/// Replays each connection's recorded batches in order.
-std::unique_ptr<QuerySource> ReplaySource(
-    const std::vector<Request>* recorded, int connections);
-
 /// Round-trip times in a fixed-size log-linear histogram (about 0.8%
 /// relative bucket width), so the client's memory does not grow with the
 /// number of requests and cannot pass for the server's.
@@ -106,6 +102,18 @@ class LatencyHistogram {
   uint64_t count_ = 0;
 };
 
+/// A timed phase is cut into this many equal windows. Its rate and tail
+/// percentiles are the medians of their values over the windows (see
+/// WindowedQuantileMs in main.cc), so a burst of interference from other
+/// tenants of the host moves one window, not the result.
+inline constexpr int kWindows = 5;
+
+/// What one window of a closed loop got back, by completion time.
+struct WindowStats {
+  uint64_t ok = 0;  ///< OK verdicts
+  LatencyHistogram latency;
+};
+
 /// What one closed loop sent and got back.
 struct LoopResult {
   uint64_t requests = 0;
@@ -115,20 +123,36 @@ struct LoopResult {
   uint64_t missing = 0;  ///< queries of requests never answered
   double wall_s = 0;     ///< phase start until the last answer
   LatencyHistogram latency;
+  /// kWindows windows of stop_after_s / kWindows seconds each; the last
+  /// also holds the requests answered after the stop. One window when the
+  /// loop runs until its source is dry.
+  std::vector<WindowStats> windows;
+  std::vector<uint64_t> requests_per_conn;  ///< by connection
   /// The requests kept for checking and replay (see RunClosedLoop).
   std::vector<Request> kept;
+  /// Verdicts left out of `kept` as repeats of a kept one (see
+  /// RunClosedLoop).
+  uint64_t folded = 0;
 };
 
 /// Runs one closed-loop thread per transport until `stop_after_s` seconds
-/// have passed since `start` (<= 0: until the source runs dry). Each
-/// request is traced as a root span named `root_span` (a string literal).
-/// Keeps every request when `keep_per_conn` is 0, else a uniform sample of
-/// that many per connection (reservoir sampling seeded by `seed`); kept
-/// requests are ordered by connection then send time.
+/// have passed since `start` (<= 0: until connection c has sent
+/// `max_requests[c]` requests). Each request is traced as a root span
+/// named `root_span` (a string literal).
+///
+/// Keeps a uniform sample of `keep_per_conn` requests per connection
+/// (reservoir sampling seeded by `seed`), or, when `keep_per_conn` is 0,
+/// every verdict: a request is kept with the verdicts whose (snapshot
+/// version, query) the connection has not seen before or whose answer
+/// differs from the first one seen, so a repeated answer is kept once and
+/// memory stays bounded by the distinct answers, not the run's length. A
+/// request left with no verdict is dropped unless it went unanswered.
+/// Kept requests are ordered by connection then send time.
 LoopResult RunClosedLoop(
     const std::vector<std::unique_ptr<Transport>>& transports,
     QuerySource* source, Clock::time_point start, double stop_after_s,
-    const char* root_span, size_t keep_per_conn, uint64_t seed);
+    const std::vector<uint64_t>& max_requests, const char* root_span,
+    size_t keep_per_conn, uint64_t seed);
 
 /// One update tick's timeline, in seconds since the phase started.
 struct TickRecord {
@@ -169,22 +193,37 @@ class TickRunner {
   std::thread settler_;
 };
 
-/// Pins every snapshot LiveQueryEngine publishes while it runs, by polling
-/// far faster than any update cycle can publish.
+/// A published snapshot's serve counters, read once no request could
+/// still add to them.
+struct VersionStats {
+  ServeStats stats;
+  Clock::time_point read_at;
+};
+
+/// Keeps every snapshot LiveQueryEngine publishes alive, by polling far
+/// faster than any update cycle can publish, until kRetireGraceS after a
+/// newer one replaced it; then reads its serve counters and lets it go.
+/// A request pinned to a snapshot finishes long before that, and memory
+/// holds only the last second's snapshots, however many were published.
 class SnapshotPinner {
  public:
+  static constexpr double kRetireGraceS = 1.0;
+
   explicit SnapshotPinner(LiveQueryEngine* live);
   ~SnapshotPinner();
   SnapshotPinner(const SnapshotPinner&) = delete;
   SnapshotPinner& operator=(const SnapshotPinner&) = delete;
 
-  /// Stops polling; returns the pinned snapshots by version.
-  std::map<uint64_t, std::shared_ptr<const GraphSnapshot>> Stop();
+  /// Stops polling; returns the counters of every snapshot seen, by
+  /// version, the ones still held read now.
+  std::map<uint64_t, VersionStats> Stop();
 
  private:
+  void Poll();
+
   LiveQueryEngine* live_;
   std::atomic<bool> stop_{false};
-  std::map<uint64_t, std::shared_ptr<const GraphSnapshot>> pinned_;
+  std::map<uint64_t, VersionStats> read_;  ///< owned by the poller
   std::thread poller_;
 };
 
