@@ -1,5 +1,5 @@
-// Ablation study for the design choices DESIGN.md calls out, at the
-// figure level (dataset workloads rather than microbenchmarks):
+// Ablation study for the library's main design choices, at the figure
+// level (dataset workloads rather than microbenchmarks):
 //
 //   A1. CoreTime builder: worklist-fixpoint advance (O(|VCT|*deg_avg)) vs
 //       one decremental sweep per start time (O(tmax*m)). The gap is the

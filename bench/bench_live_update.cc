@@ -407,7 +407,7 @@ int main(int argc, char** argv) {
           identical = identical && (*live)->ApplyUpdates(batch).get().ok();
         }
         double seconds = timer.ElapsedSeconds();
-        const UpdateStats ustats = (*live)->update_stats();
+        const UpdateStats ustats = (*live)->stats().update;
         // Reuse must actually happen: a small localized delta rebuilds
         // strictly fewer slices than max_k every swap.
         identical = identical && ustats.slices_reused > 0 &&
@@ -442,7 +442,7 @@ int main(int argc, char** argv) {
           identical = identical && (*live)->ApplyUpdates(batch).get().ok();
         }
         double seconds = timer.ElapsedSeconds();
-        const UpdateStats ustats = (*live)->update_stats();
+        const UpdateStats ustats = (*live)->stats().update;
         // Partial maintenance must actually fire: end-of-timeline pendant
         // deltas leave no dirty slice to rebuild whole, and the trailing
         // band is tiny so rows genuinely carry.
@@ -508,9 +508,9 @@ int main(int argc, char** argv) {
         double max_submit = 0;
         for (uint32_t i = 0; i < submissions; ++i) {
           submit_at[i] = timer.ElapsedSeconds();
-          (*live)->SubmitAsync(
-              queries, &cq, i,
-              Deadline::AfterSeconds(overload_deadline_seconds));
+          (*live)->Submit(queries,
+                          Deadline::AfterSeconds(overload_deadline_seconds),
+                          cq.Completion(i));
           max_submit =
               std::max(max_submit, timer.ElapsedSeconds() - submit_at[i]);
         }

@@ -2,7 +2,7 @@
 // graph construction, static peeling, the core-time sweep, the efficient
 // VCT/ECS builder, the Enum linked-list enumeration, and the baselines.
 // These quantify the per-phase costs behind the figure-level results and
-// serve as ablations for DESIGN.md's design choices (fixpoint advance vs
+// serve as ablations for the main design choices (fixpoint advance vs
 // per-start sweeps; Enum vs EnumBase given identical skylines).
 
 #include <benchmark/benchmark.h>

@@ -1,6 +1,6 @@
 // Reproduces Table III: statistics of the fourteen benchmark datasets.
-// Ours are synthetic stand-ins (DESIGN.md §3), so absolute sizes are ~100x
-// smaller than the paper's; the |E|/|V| and tmax/|E| regimes match.
+// Ours are synthetic stand-ins (datasets/registry.h), so absolute sizes are
+// ~100x smaller than the paper's; the |E|/|V| and tmax/|E| regimes match.
 
 #include <cstdio>
 

@@ -189,7 +189,7 @@ int RunLiveReplay(tkc::TemporalGraph graph,
       stats.last_rebuild_seconds, stats.last_swap_seconds,
       final_graph.num_vertices(), final_graph.num_edges(),
       final_graph.num_timestamps());
-  const UpdateStats update = (*live)->update_stats();
+  const UpdateStats& update = stats.update;
   std::printf(
       "updater: %llu/%llu batches applied (%llu coalesced), %llu slices "
       "reused / %llu suffix-maintained / %llu rebuilt (%llu incremental "

@@ -8,8 +8,9 @@ namespace tkc {
 namespace {
 
 // One row of the scaled-down Table III. Vertex / edge / timestamp counts are
-// ~1/100 of the paper's (Table III in DESIGN.md §3); pa_alpha is tuned per
-// density regime so kmax lands in the tens like the originals.
+// ~1/100 of the paper's Table III (bench_table3_datasets prints the
+// generated statistics); pa_alpha is tuned per density regime so kmax lands
+// in the tens like the originals.
 struct RegistryRow {
   const char* name;
   uint32_t vertices;

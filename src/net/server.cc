@@ -57,6 +57,7 @@ struct TkcServer::Connection {
   bool read_closed = false;  ///< peer half-closed (EOF seen)
   bool closing = false;      ///< flush outbuf, then drop (error path)
   bool read_paused = false;  ///< slow-reader backpressure engaged
+  bool write_failed = false; ///< peer vanished; read to EOF, then drop
   std::chrono::steady_clock::time_point last_active;
 
   size_t unsent() const { return outbuf.size() - out_off; }
@@ -203,7 +204,7 @@ void TkcServer::EventLoop() {
         DropConnection(conn->serial);
         continue;
       }
-      if ((revents & POLLOUT) && !HandleWritable(conn)) continue;
+      if (revents & POLLOUT) HandleWritable(conn);
       if (revents & (POLLIN | POLLHUP | POLLERR)) {
         if (conn->closing) {
           // Not reading anymore; a hangup means the flush can never land.
@@ -354,7 +355,7 @@ void TkcServer::HandleQueryRequest(Connection* conn,
       PendingBatch{conn->serial, request.request_id,
                    static_cast<uint32_t>(request.queries.size())};
   ++conn->inflight;
-  live_->SubmitAsync(std::move(request.queries), &cq_, tag, deadline);
+  live_->Submit(std::move(request.queries), deadline, cq_.Completion(tag));
 }
 
 void TkcServer::HandleStatsRequest(Connection* conn, uint64_t request_id) {
@@ -391,7 +392,8 @@ void TkcServer::HandleCompletion(BatchResult result) {
   if (conn_it != conns_.end() && conn_it->second->inflight > 0) {
     --conn_it->second->inflight;
   }
-  if (conn_it == conns_.end() || conn_it->second->closing) {
+  if (conn_it == conns_.end() || conn_it->second->closing ||
+      conn_it->second->write_failed) {
     // The peer is gone (abrupt disconnect with batches in flight) or being
     // torn down for protocol abuse: the verdicts are accounted, not sent.
     MutexLock lock(stats_mu_);
@@ -424,15 +426,14 @@ void TkcServer::HandleCompletion(BatchResult result) {
   HandleWritable(conn);
 }
 
-bool TkcServer::HandleWritable(Connection* conn) {
-  const uint64_t serial = conn->serial;
+void TkcServer::HandleWritable(Connection* conn) {
   if (conn->out_off > 0 && conn->out_off >= conn->outbuf.size() / 2) {
     conn->outbuf.erase(0, conn->out_off);
     conn->out_off = 0;
   }
   if (conn->unsent() > 0 && FaultFires(kFaultNetWriteStall)) {
     write_stalled_ = true;
-    return true;
+    return;
   }
   while (conn->unsent() > 0) {
     const ssize_t n =
@@ -449,8 +450,14 @@ bool TkcServer::HandleWritable(Connection* conn) {
     }
     if (n < 0 && errno == EINTR) continue;
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    DropConnection(serial);  // EPIPE/ECONNRESET: peer vanished mid-stream
-    return false;
+    // EPIPE/ECONNRESET: the peer vanished mid-stream. Requests it sent
+    // before going may still sit unread in the kernel (a reset does not
+    // discard them), so keep reading to EOF and let the sweep drop it;
+    // nothing is written to it again.
+    conn->write_failed = true;
+    conn->read_paused = false;
+    conn->out_off = conn->outbuf.size();
+    break;
   }
   if (conn->unsent() == 0) {
     conn->outbuf.clear();
@@ -460,7 +467,6 @@ bool TkcServer::HandleWritable(Connection* conn) {
       conn->unsent() < options_.max_outbound_bytes / 2) {
     conn->read_paused = false;
   }
-  return true;
 }
 
 void TkcServer::SendErrorAndClose(Connection* conn, uint64_t request_id,
@@ -502,6 +508,10 @@ void TkcServer::SweepFinished(std::chrono::steady_clock::time_point now) {
   for (const auto& entry : conns_) {
     const Connection& conn = *entry.second;
     const bool flushed = conn.unsent() == 0;
+    if (conn.write_failed && conn.read_closed) {
+      to_drop.push_back(entry.first);
+      continue;
+    }
     if (conn.closing && flushed) {
       to_drop.push_back(entry.first);
       continue;

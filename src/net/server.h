@@ -32,13 +32,13 @@
 ///    buffers — no thread per connection, no blocking I/O.
 ///  * **Query execution never runs on the loop.** A decoded query request
 ///    is submitted to the LiveQueryEngine's async path
-///    (SubmitAsync(queries, cq, tag)); the engine's pool executes it
-///    against the pinned snapshot. A dedicated **completion drainer
-///    thread** pops finished batches off the server's BatchCompletionQueue
-///    and hands them to the loop (self-pipe wakeup), which streams the
-///    per-query verdict frames back.
+///    (Submit(queries, deadline, cq.Completion(tag))); the engine's pool
+///    executes it against the pinned snapshot. A dedicated **completion
+///    drainer thread** pops finished batches off the server's
+///    BatchCompletionQueue and hands them to the loop (self-pipe wakeup),
+///    which streams the per-query verdict frames back.
 ///  * **Deadlines propagate end to end.** A request's deadline_ms becomes a
-///    Deadline at decode time and rides into SubmitAsync — a backed-up
+///    Deadline at decode time and rides into Submit — a backed-up
 ///    request queue sheds the least-remaining-deadline batch over the wire
 ///    exactly as in-process (explicit ResourceExhausted / Timeout verdicts,
 ///    never a silently missing answer).
@@ -50,6 +50,9 @@
 ///    only its own connection: the server answers with one kError frame and
 ///    closes. An abrupt disconnect with batches in flight never loses
 ///    accounting — the verdicts complete and are counted responses_dropped.
+///    A send that finds the peer gone (EPIPE/ECONNRESET) does not discard
+///    the requests it delivered before going: the loop keeps reading until
+///    EOF, so they are received and settle as responses_dropped too.
 ///
 /// Teardown contract: Stop() closes every connection, drains the engine's
 /// in-flight async batches (LiveQueryEngine::DrainAsync) while the drainer
@@ -127,9 +130,10 @@ class TkcServer {
 
   void AcceptNew() TKC_EXCLUDES(stats_mu_);
   void HandleReadable(Connection* conn) TKC_EXCLUDES(stats_mu_);
-  /// Flushes the outbound buffer as far as the socket allows. Returns false
-  /// when the flush killed the connection (send error -> dropped).
-  bool HandleWritable(Connection* conn) TKC_EXCLUDES(stats_mu_);
+  /// Flushes the outbound buffer as far as the socket allows. A send error
+  /// marks the connection write_failed: its output is discarded from then
+  /// on and it is dropped once its read side reaches EOF.
+  void HandleWritable(Connection* conn) TKC_EXCLUDES(stats_mu_);
   void ParseFrames(Connection* conn) TKC_EXCLUDES(stats_mu_);
   void HandleQueryRequest(Connection* conn, QueryRequestFrame request)
       TKC_EXCLUDES(stats_mu_);

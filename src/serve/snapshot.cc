@@ -260,14 +260,6 @@ std::shared_ptr<const GraphSnapshot> LiveQueryEngine::snapshot() const {
   return current_.load(std::memory_order_acquire);
 }
 
-BatchResult LiveQueryEngine::ServeBatch(const std::vector<Query>& queries) {
-  std::shared_ptr<const GraphSnapshot> pin = snapshot();
-  BatchResult result;
-  result.outcomes = pin->engine().ServeBatch(queries);
-  result.snapshot_version = pin->version();
-  return result;
-}
-
 BatchResult LiveQueryEngine::ServeBatch(const std::vector<Query>& queries,
                                         const Deadline& deadline) {
   std::shared_ptr<const GraphSnapshot> pin = snapshot();
@@ -277,47 +269,31 @@ BatchResult LiveQueryEngine::ServeBatch(const std::vector<Query>& queries,
   return result;
 }
 
-std::future<BatchResult> LiveQueryEngine::SubmitAsync(
-    std::vector<Query> queries) {
-  return SubmitAsync(std::move(queries), Deadline());
+void LiveQueryEngine::Submit(std::vector<Query> queries,
+                             const Deadline& deadline,
+                             std::function<void(BatchResult&&)> on_done) {
+  std::shared_ptr<const GraphSnapshot> pin = snapshot();
+  // The callback owns the pin: the snapshot (graph, engine, index) cannot
+  // die before the batch's result is delivered, no matter how many swaps
+  // happen in between. Dropped batches (Timeout/ResourceExhausted) settle
+  // through the same callback, so they too carry the pinned version.
+  pin->engine().Submit(
+      std::move(queries), deadline,
+      [pin, on_done = std::move(on_done)](BatchResult&& result) {
+        result.snapshot_version = pin->version();
+        on_done(std::move(result));
+      },
+      pin);
 }
 
 std::future<BatchResult> LiveQueryEngine::SubmitAsync(
     std::vector<Query> queries, const Deadline& deadline) {
   auto promise = std::make_shared<std::promise<BatchResult>>();
   std::future<BatchResult> future = promise->get_future();
-  std::shared_ptr<const GraphSnapshot> pin = snapshot();
-  // The callback owns the pin: the snapshot (graph, engine, index) cannot
-  // die before the batch's result is delivered, no matter how many swaps
-  // happen in between. Dropped batches (Timeout/ResourceExhausted) settle
-  // through the same callback, so they too carry the pinned version.
-  pin->engine().SubmitAsyncWithCallback(
-      std::move(queries), deadline,
-      [pin, promise](BatchResult&& result) {
-        result.snapshot_version = pin->version();
-        promise->set_value(std::move(result));
-      },
-      pin);
+  Submit(std::move(queries), deadline, [promise](BatchResult&& result) {
+    promise->set_value(std::move(result));
+  });
   return future;
-}
-
-void LiveQueryEngine::SubmitAsync(std::vector<Query> queries,
-                                  BatchCompletionQueue* cq, uint64_t tag) {
-  SubmitAsync(std::move(queries), cq, tag, Deadline());
-}
-
-void LiveQueryEngine::SubmitAsync(std::vector<Query> queries,
-                                  BatchCompletionQueue* cq, uint64_t tag,
-                                  const Deadline& deadline) {
-  std::shared_ptr<const GraphSnapshot> pin = snapshot();
-  pin->engine().SubmitAsyncWithCallback(
-      std::move(queries), deadline,
-      [pin, cq, tag](BatchResult&& result) {
-        result.snapshot_version = pin->version();
-        result.tag = tag;
-        cq->Deliver(std::move(result));
-      },
-      pin);
 }
 
 std::future<Status> LiveQueryEngine::ApplyUpdates(
@@ -575,11 +551,6 @@ HealthState LiveQueryEngine::health() const {
 LiveStats LiveQueryEngine::stats() const {
   MutexLock lock(stats_mu_);
   return stats_;
-}
-
-UpdateStats LiveQueryEngine::update_stats() const {
-  MutexLock lock(stats_mu_);
-  return stats_.update;
 }
 
 }  // namespace tkc

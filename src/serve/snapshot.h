@@ -25,8 +25,8 @@
 /// Consistency model — *pinned snapshots, no torn reads*:
 ///
 ///  * A GraphSnapshot is immutable: the temporal graph, the PHC admission
-///    index replicas, and the per-k emergence tables are all built once and
-///    never mutated (the engine's cache/arena internals are mutable but
+///    index, and the per-k emergence tables are all built once and never
+///    mutated (the engine's cache/arena internals are mutable but
 ///    internally synchronized and invisible to results).
 ///  * Every submission — sync or async — *pins* the snapshot that is
 ///    current at submission time by holding its shared_ptr until the
@@ -68,8 +68,8 @@
 
 namespace tkc {
 
-/// Cumulative counters of the delta-aware updater. Exposed via
-/// LiveQueryEngine::update_stats() and printed by `tkc_cli --updates`.
+/// Cumulative counters of the delta-aware updater. Exposed as
+/// LiveQueryEngine::stats().update and printed by `tkc_cli --updates`.
 ///
 /// Invariants (asserted by the differential harness after every scenario,
 /// with `failed` = LiveStats::failed_updates):
@@ -280,32 +280,23 @@ class LiveQueryEngine {
   /// update batches applied so far.
   uint64_t version() const { return snapshot()->version(); }
 
-  /// Serves synchronously on the calling thread against the pinned current
-  /// snapshot; the result's snapshot_version records which one.
-  BatchResult ServeBatch(const std::vector<Query>& queries);
-
-  /// Deadline-bounded flavor (see QueryEngine::ServeBatch(queries,
-  /// deadline) for the Timeout semantics).
+  /// Serves synchronously against the pinned current snapshot (see
+  /// QueryEngine::ServeBatch for the deadline semantics); the result's
+  /// snapshot_version records which snapshot answered.
   BatchResult ServeBatch(const std::vector<Query>& queries,
-                         const Deadline& deadline);
+                         const Deadline& deadline = Deadline());
 
-  /// Async submission against the pinned current snapshot; the future's
-  /// BatchResult carries the pinned version. See
-  /// QueryEngine::SubmitAsync for queueing/backpressure semantics.
-  std::future<BatchResult> SubmitAsync(std::vector<Query> queries);
+  /// QueryEngine::Submit against the pinned current snapshot: the snapshot
+  /// stays alive until `on_done` has run, and every result — served or
+  /// dropped (Timeout / ResourceExhausted) — carries the pinned version.
+  /// BatchCompletionQueue::Completion(tag) makes `on_done` deliver to a
+  /// completion queue.
+  void Submit(std::vector<Query> queries, const Deadline& deadline,
+              std::function<void(BatchResult&&)> on_done);
 
-  /// Deadline-carrying flavor: never blocks on a full request queue; the
-  /// future always settles with served, Timeout, or ResourceExhausted
-  /// outcomes (see QueryEngine::SubmitAsync(queries, deadline)).
+  /// Submit with a future for the result.
   std::future<BatchResult> SubmitAsync(std::vector<Query> queries,
-                                       const Deadline& deadline);
-
-  /// Completion-queue flavor; the delivered result carries `tag` and the
-  /// pinned version.
-  void SubmitAsync(std::vector<Query> queries, BatchCompletionQueue* cq,
-                   uint64_t tag);
-  void SubmitAsync(std::vector<Query> queries, BatchCompletionQueue* cq,
-                   uint64_t tag, const Deadline& deadline);
+                                       const Deadline& deadline = Deadline());
 
   /// Enqueues one batch of edges for ingestion. Returns immediately with a
   /// future that resolves once a snapshot containing this batch has been
@@ -338,7 +329,8 @@ class LiveQueryEngine {
   /// DrainAsync() (see below), so Shutdown is safe to call while a network
   /// front end still holds completion queues: once it returns, no
   /// engine-side delivery will touch a caller-owned BatchCompletionQueue.
-  /// Serving (ServeBatch / SubmitAsync / snapshot) stays available.
+  /// Serving (ServeBatch / Submit / SubmitAsync / snapshot) stays
+  /// available.
   /// Idempotent; the destructor calls it first.
   void Shutdown() TKC_EXCLUDES(pause_mu_, shutdown_mu_);
 
@@ -352,9 +344,6 @@ class LiveQueryEngine {
   void DrainAsync() TKC_EXCLUDES(snapshots_mu_);
 
   LiveStats stats() const TKC_EXCLUDES(stats_mu_);
-
-  /// The delta-aware updater counters alone (== stats().update).
-  UpdateStats update_stats() const TKC_EXCLUDES(stats_mu_);
 
   /// Current update-path health. Transitions: kDegraded on a cycle's first
   /// failed attempt, back to kHealthy when a cycle lands a snapshot,

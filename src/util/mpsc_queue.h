@@ -9,7 +9,6 @@
 #include "util/fault_injection.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
-#include "util/timer.h"
 
 /// \file mpsc_queue.h
 /// A bounded blocking FIFO for the serving layer's request/completion
@@ -80,39 +79,6 @@ class BoundedMpscQueue {
     return true;
   }
 
-  /// Blocks until there is room, but no later than `deadline`; true iff
-  /// enqueued. An unlimited deadline degenerates to Push(). Returns false
-  /// without enqueueing when the deadline passes or the queue closes — the
-  /// bounded-latency submission primitive the serving layer's shed path
-  /// builds on.
-  bool PushUntil(T item, const Deadline& deadline) TKC_EXCLUDES(mu_) {
-    if (deadline.unlimited()) return Push(std::move(item));
-    {
-      MutexLock lock(mu_);
-      if (FaultFires(kFaultQueueFull)) return false;  // simulated full-forever
-      for (;;) {
-        if (closed_) return false;
-        if (items_.size() < capacity_) break;
-        if (not_full_.WaitUntil(mu_, deadline.time_point()) ==
-            std::cv_status::timeout) {
-          // One final predicate check under the lock: the deadline and a
-          // slot opening can race, and the slot wins ties.
-          if (closed_ || items_.size() >= capacity_) return false;
-          break;
-        }
-      }
-      items_.push_back(std::move(item));
-    }
-    not_empty_.NotifyOne();
-    return true;
-  }
-
-  /// PushUntil with a relative timeout in seconds (≤ 0 means "right now").
-  bool TryPushFor(T item, double seconds) TKC_EXCLUDES(mu_) {
-    return PushUntil(std::move(item),
-                     Deadline::AfterSeconds(std::max(seconds, 0.0)));
-  }
-
   /// Never-blocking push with an eviction contest. If there is room,
   /// `*item` is enqueued (kPushed). If the queue is full, the queued item
   /// that orders first under `less` — for the serving layer, the batch
@@ -124,6 +90,8 @@ class BoundedMpscQueue {
   /// on kClosed) the caller still owns it intact — that is what lets the
   /// caller fail the loser's future instead of losing it. One lock
   /// acquisition, so the full/evict decision is atomic with the enqueue.
+  /// This is the bounded-latency primitive the serving layer's shed path
+  /// builds on: QueryEngine::Submit with a finite deadline never blocks.
   ///
   /// The armed `queue.full` fault simulates a full queue by rejecting the
   /// incoming item without evicting — the conservative shed.

@@ -22,11 +22,12 @@
 ///    CT(u) = k-th smallest over distinct window-neighbors v of
 ///            max(CT(v), earliest edge time of (u,v) that is >= s+1)
 ///
-/// that dominates the previous core times. We prove both directions (any
-/// fixpoint dominates the true core times; monotone worklist iteration from
-/// the previous values converges to exactly the true core times) in
-/// DESIGN.md §2, and validate against the naive builder in tests. Only the
-/// endpoints of removed edges seed the worklist; every later recomputation
+/// that dominates the previous core times: any fixpoint dominates the true
+/// core times, and monotone worklist iteration from the previous values
+/// converges to exactly them. VctBuilderEquivalenceTest
+/// (tests/vct_builder_test.cc) checks the VCT and ECS entry for entry
+/// against the naive per-start builder on random graphs, full ranges and
+/// sub-ranges. Only the endpoints of removed edges seed the worklist; every later recomputation
 /// is triggered by an actual neighbor change, so total work is bounded by
 /// sum over core-time changes of the changing vertex's degree — the paper's
 /// O(|VCT| * deg_avg).

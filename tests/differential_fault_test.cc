@@ -14,8 +14,50 @@
 
 #include <gtest/gtest.h>
 
+#include <future>
+
+#include "datasets/generators.h"
+#include "serve/snapshot.h"
+#include "util/fault_injection.h"
+#include "util/thread_pool.h"
+
 namespace tkc {
 namespace {
+
+/// One rebuild cycle that exhausts its retries by construction, whatever
+/// the timing: the paused updater holds one known batch while rebuild.fail
+/// is armed to fail every attempt of its cycle, so that batch fails; once
+/// disarmed, the next batch lands and health recovers. Returns the
+/// engine's failed_updates count.
+uint64_t RunScriptedExhaustedCycle(int threads) {
+  constexpr int kAttempts = 3;
+  TemporalGraph g = GenerateUniformRandom(16, 120, 10, 9);
+  ThreadPool pool(threads);
+  LiveEngineOptions options;
+  options.engine.pool = &pool;
+  options.max_rebuild_attempts = kAttempts;
+  options.retry_backoff_initial_ms = 0.2;
+  options.retry_backoff_max_ms = 2.0;
+  auto live = LiveQueryEngine::Create(g, options);
+  EXPECT_TRUE(live.ok()) << live.status().ToString();
+  if (!live.ok()) return 0;
+
+  (*live)->PauseUpdates();
+  std::future<Status> failing = (*live)->ApplyUpdates({{0, 1, 500}});
+  {
+    // max_fires == attempts: every attempt of the held batch's cycle fails.
+    ScopedFault fault(kFaultRebuildFail, FaultSchedule{1.0, 7, kAttempts});
+    (*live)->ResumeUpdates();
+    EXPECT_FALSE(failing.get().ok());
+  }
+  const uint64_t failed = (*live)->stats().failed_updates;
+  EXPECT_EQ(failed, 1u);
+  EXPECT_EQ((*live)->health(), HealthState::kUpdatesFailed);
+
+  EXPECT_TRUE((*live)->ApplyUpdates({{2, 3, 501}}).get().ok());
+  EXPECT_EQ((*live)->health(), HealthState::kHealthy);
+  return failed;
+}
 
 // Fault scenarios are slower than clean ones (injected backoff waits and
 // slow-worker sleeps), so sweep fewer by default; CI pins the count.
@@ -50,15 +92,20 @@ TEST_P(DifferentialFaultTest, EveryOutcomeExactOrExplicitUnderFaults) {
     total_failed += report.failed_updates;
     total_applied += report.updates_applied;
   }
+  // How many random cycles exhaust their retries depends on timing
+  // (coalescing decides how many cycles run), so one scripted cycle makes
+  // the exhausted-retries path happen on every run.
+  total_failed += RunScriptedExhaustedCycle(threads);
   // The sweep is vacuous unless the faults both bit and were survived:
-  // retries happened, some updates still landed, deadlines/shedding
-  // produced explicit verdicts, and plenty of outcomes stayed oracle-exact.
+  // retries happened, some updates still landed, some cycles exhausted
+  // their retries, deadlines/shedding produced explicit verdicts, and
+  // plenty of outcomes stayed oracle-exact.
   EXPECT_GT(total_retries, 0u);
   EXPECT_GT(total_applied, 0u);
   EXPECT_GT(total_checked, 0u);
+  EXPECT_GT(total_failed, 0u);  // some cycles exhaust their retries
   if (scenarios >= 8) {
     EXPECT_GT(total_explicit, 0u);
-    EXPECT_GT(total_failed, 0u);  // some cycles exhaust their retries
   }
   RecordProperty("queries_checked", static_cast<int>(total_checked));
   RecordProperty("explicit_outcomes", static_cast<int>(total_explicit));

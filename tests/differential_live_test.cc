@@ -356,7 +356,7 @@ TEST(LiveQueryEngineTest, SmallDeltaReusesSlicesAndCarriesCache) {
   ASSERT_NE(new_index, nullptr);
   ASSERT_EQ(new_index->max_k(), max_k);  // a pendant edge raises no kmax
 
-  UpdateStats update = (*live)->update_stats();
+  UpdateStats update = (*live)->stats().update;
   EXPECT_GT(update.slices_reused, 0u);
   EXPECT_LT(update.slices_rebuilt, max_k);  // strictly fewer than max_k
   // Every slice is accounted once: carried whole, maintained by suffix
@@ -494,7 +494,7 @@ TEST(LiveQueryEngineTest, LateDeltaMaintainsDirtySlicesBySuffix) {
                   .get()
                   .ok());
 
-  UpdateStats update = (*live)->update_stats();
+  UpdateStats update = (*live)->stats().update;
   EXPECT_GT(update.suffix_rebuilds, 0u);
   // Every suffix-stitched slice also maintains its emergence table
   // incrementally: predecessor table copied, only the band re-swept.
@@ -621,7 +621,7 @@ TEST(LiveQueryEngineTest, TransientRebuildFailureRetriesAndRecovers) {
 
   EXPECT_EQ((*live)->health(), HealthState::kHealthy);
   EXPECT_EQ((*live)->version(), 1u);
-  UpdateStats update = (*live)->update_stats();
+  UpdateStats update = (*live)->stats().update;
   EXPECT_EQ(update.rebuild_retries, 2u);
   // Two backoff waits of >= 1ms each sit inside the degraded window.
   EXPECT_GE(update.degraded_ms, 1u);
@@ -651,7 +651,7 @@ TEST(LiveQueryEngineTest, ExhaustedRetriesFailTheBatchAndMarkUnhealthy) {
   }
   EXPECT_EQ((*live)->health(), HealthState::kUpdatesFailed);
   EXPECT_EQ((*live)->version(), 0u);
-  UpdateStats update = (*live)->update_stats();
+  UpdateStats update = (*live)->stats().update;
   EXPECT_EQ(update.rebuild_retries, 1u);  // attempts - 1
   EXPECT_EQ((*live)->stats().failed_updates, 1u);
   BatchResult result = (*live)->ServeBatch({Query{2, g.FullRange()}});
@@ -677,7 +677,7 @@ TEST(LiveQueryEngineTest, DeterministicFailureDoesNotRetry) {
   // input error must not flip the engine's health.
   Status status = (*live)->ApplyUpdates({{kInvalidVertex, 2, 500}}).get();
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ((*live)->update_stats().rebuild_retries, 0u);
+  EXPECT_EQ((*live)->stats().update.rebuild_retries, 0u);
   EXPECT_EQ((*live)->health(), HealthState::kHealthy);
   ASSERT_TRUE((*live)->ApplyUpdates({{0, 1, 500}}).get().ok());
   EXPECT_EQ((*live)->version(), 1u);

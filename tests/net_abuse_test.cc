@@ -4,7 +4,8 @@
 // executing (late verdicts settle as responses_dropped), a half-open
 // socket that never speaks (idle reap), wire-level deadline expiry under a
 // backed-up engine queue (shed/timeout verdicts cross the wire exactly as
-// in-process), and the net.accept_fail / net.write_stall fault points.
+// in-process), an abrupt disconnect mid-read (net.read_short), and the
+// net.accept_fail / net.write_stall fault points.
 // After every scenario the server counters and the engine's update
 // accounting must balance. Runs under asan/ubsan in CI (`ctest -L net`).
 
@@ -129,7 +130,7 @@ TEST(NetAbuseTest, SlowReaderGetsEveryResponseUnderBackpressure) {
 // engine keeps computing, and every late verdict must settle as
 // responses_dropped — counted, not leaked, not crashed on. Updates applied
 // concurrently must also all land (the updater never sees the abuse).
-TEST(NetAbuseTest, AbruptDisconnectSettlesInFlightBatchesAsDropped) {
+void ExpectAbruptDisconnectSettles() {
   ThreadPool pool(4);
   auto live = MakeLive(&pool, /*async_queue_capacity=*/1);
   ASSERT_TRUE(live.ok());
@@ -167,6 +168,19 @@ TEST(NetAbuseTest, AbruptDisconnectSettlesInFlightBatchesAsDropped) {
   EXPECT_GE(live_stats.swaps, 1u);
   (*server)->Stop();
   ExpectBalanced((*server)->stats());
+}
+
+TEST(NetAbuseTest, AbruptDisconnectSettlesInFlightBatchesAsDropped) {
+  ExpectAbruptDisconnectSettles();
+}
+
+// The same disconnect with the server reading one byte per loop turn: most
+// of the burst is still unread in the kernel when a verdict send finds the
+// peer gone (EPIPE). Every request the client delivered must be received
+// anyway — a failed send must not discard what the peer sent before it.
+TEST(NetAbuseTest, AbruptDisconnectMidReadStillReceivesEveryRequest) {
+  ScopedFault fault(kFaultNetReadShort, {1.0, 5, 0});
+  ExpectAbruptDisconnectSettles();
 }
 
 // A half-open socket that connects and never sends a byte must be reaped

@@ -5,6 +5,7 @@
 #include "datasets/generators.h"
 #include "graph/graph_stats.h"
 #include "graph/window_peeler.h"
+#include "util/thread_pool.h"
 
 namespace tkc {
 namespace {
@@ -126,6 +127,73 @@ TEST(RunAlgorithmOnQueriesTest, AggregatesAndFlagsTimeouts) {
       RunAlgorithmOnQueries(AlgorithmKind::kOtcd, g, *queries, 1e-9);
   EXPECT_FALSE(timeout_agg.completed);
   EXPECT_EQ(timeout_agg.first_error.code(), StatusCode::kTimeout);
+}
+
+TEST(RunAlgorithmOnQueriesTest, DuplicatesAreAveragedAsSubmitted) {
+  TemporalGraph g = WorkloadGraph();
+  GraphStats stats = ComputeGraphStats(g);
+  WorkloadSpec spec;
+  spec.num_queries = 2;
+  spec.seed = 5;
+  auto queries = GenerateQueries(g, stats.kmax, spec);
+  ASSERT_TRUE(queries.ok());
+  // Two distinct answers, one submitted three times: collapsing duplicates
+  // (or averaging over distinct queries) would weigh them 1:1, not 3:1.
+  Query other = (*queries)[0];
+  other.k = 2;
+  other.range = g.FullRange();
+  const std::vector<Query> batch = {(*queries)[0], other, (*queries)[0],
+                                    (*queries)[0]};
+  const RunOutcome dup = RunAlgorithm(AlgorithmKind::kEnum, g, batch[0]);
+  const RunOutcome single = RunAlgorithm(AlgorithmKind::kEnum, g, other);
+  ASSERT_TRUE(dup.status.ok());
+  ASSERT_TRUE(single.status.ok());
+  ASSERT_NE(dup.num_cores, single.num_cores);
+
+  ThreadPool pool(4);
+  AggregateOutcome agg =
+      RunAlgorithmOnQueries(AlgorithmKind::kEnum, g, batch, 0, &pool);
+  ASSERT_TRUE(agg.completed) << agg.first_error.ToString();
+  auto weighted = [](uint64_t dup_value, uint64_t single_value) {
+    return (3.0 * static_cast<double>(dup_value) +
+            static_cast<double>(single_value)) /
+           4.0;
+  };
+  EXPECT_DOUBLE_EQ(agg.avg_num_cores,
+                   weighted(dup.num_cores, single.num_cores));
+  EXPECT_DOUBLE_EQ(agg.avg_result_size_edges,
+                   weighted(dup.result_size_edges, single.result_size_edges));
+  EXPECT_DOUBLE_EQ(agg.avg_vct_size, weighted(dup.vct_size, single.vct_size));
+  EXPECT_DOUBLE_EQ(agg.avg_ecs_size, weighted(dup.ecs_size, single.ecs_size));
+}
+
+TEST(RunAlgorithmOnQueriesTest, ReportsLowestIndexedErrorInParallel) {
+  TemporalGraph g = WorkloadGraph();
+  GraphStats stats = ComputeGraphStats(g);
+  WorkloadSpec spec;
+  spec.num_queries = 3;
+  auto queries = GenerateQueries(g, stats.kmax, spec);
+  ASSERT_TRUE(queries.ok());
+  // Every query fails: the generated ones time out under the 1e-9 s limit,
+  // the reversed range is rejected as InvalidArgument. Whichever worker
+  // fails first, the aggregate reports the lowest-indexed failure.
+  const Query invalid{3, Window{10, 5}};
+  std::vector<Query> invalid_last = *queries;
+  invalid_last.push_back(invalid);
+  std::vector<Query> invalid_first = {invalid};
+  invalid_first.insert(invalid_first.end(), queries->begin(), queries->end());
+
+  ThreadPool pool(4);
+  for (int rep = 0; rep < 5; ++rep) {
+    AggregateOutcome last = RunAlgorithmOnQueries(
+        AlgorithmKind::kOtcd, g, invalid_last, 1e-9, &pool);
+    EXPECT_FALSE(last.completed);
+    EXPECT_EQ(last.first_error.code(), StatusCode::kTimeout);
+    AggregateOutcome first = RunAlgorithmOnQueries(
+        AlgorithmKind::kOtcd, g, invalid_first, 1e-9, &pool);
+    EXPECT_FALSE(first.completed);
+    EXPECT_EQ(first.first_error.code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(AlgorithmNameTest, Names) {
